@@ -90,15 +90,17 @@ run_query_smoke() {
   # Scoring-kernel smoke (bench/micro_query.cc): a short run of the
   # branch-lean per-strategy query kernels on a reduced workload, followed by
   # the kernel differential wall — every strategy vs the naive reference on
-  # the full adversarial shape sweep. micro_query exits non-zero if the
-  # pooled kernels allocate in steady state; the differential binary exits
-  # non-zero on any bit divergence (under ASan/UBSan this doubles as a
-  # memory-safety pass over the kernels' epoch-stamped scratch arrays). The
-  # acceptance-grade numbers live in BENCH_query.json. See docs/model.md
-  # ("Scoring kernels").
+  # the full adversarial shape sweep, then Best Match's goal-major fold on
+  # the FoodMart-shaped long-prefix family in all six variants. micro_query
+  # exits non-zero if the pooled kernels allocate in steady state; the
+  # differential binaries exit non-zero on any bit divergence (under
+  # ASan/UBSan this doubles as a memory-safety pass over the kernels'
+  # epoch-stamped scratch arrays). The acceptance-grade numbers live in
+  # BENCH_query.json. See docs/model.md ("Scoring kernels").
   echo "=== query kernel smoke ($build_dir) ==="
   "$build_dir/bench/micro_query" --smoke >/dev/null
   "$build_dir/tests/oracle_differential_test" --gtest_brief=1
+  "$build_dir/tests/oracle_best_match_kernel_test" --gtest_brief=1
 }
 
 run_obs_smoke() {

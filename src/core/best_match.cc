@@ -165,19 +165,20 @@ void BestMatchRecommender::RecommendInContext(const QueryContext& context,
 
 // The scoring kernel. The dense evaluation embeds every candidate as a full
 // |GS(H)|-dimensional vector and walks all of it per distance; the kernel
-// exploits that a candidate touches only the goals of its own postings:
+// exploits that a candidate touches only the goals it contributes to:
 //
 //   * an epoch-stamped goal → slot map replaces the per-posting binary
 //     search into the sorted goal space;
 //   * the profile is built by one sparse scatter over H's postings
 //     (bit-identical: integer counts accumulate exactly in doubles);
-//   * per candidate, only the touched slots are visited, and the distance
-//     is reconstructed from precomputed whole-profile totals — Euclidean
-//     from Σh², Manhattan from Σh, cosine from ‖H⃗‖ — all exact-integer
-//     arithmetic certified by SparseDistanceIsExact, so the result is the
-//     bit-identical double the dense strict-order walk produces. Candidates
-//     that exceed the certificate (astronomically large counts) fall back
-//     to the dense walk.
+//   * the candidate vectors come from one goal-major fold (FoldGoals) that
+//     walks only the implementations of GS(H)'s goals, and each distance is
+//     finished from whole-profile totals — Euclidean from Σh², Manhattan
+//     from Σh, cosine from ‖H⃗‖ — all exact-integer arithmetic certified by
+//     SparseDistanceIsExact, so the result is the bit-identical double the
+//     dense strict-order walk produces. Candidates that exceed the
+//     certificate (astronomically large counts) fall back to the dense
+//     walk.
 //
 // Goal weights scale dimensions by arbitrary doubles, which breaks the
 // exact-integer argument, so the weighted path keeps the dense evaluation.
@@ -226,11 +227,9 @@ void BestMatchRecommender::RecommendOver(
 
   // Sparse profile scatter. slot_stamp deduplicates per-action goal hits for
   // the boolean representation (ActionVectorInto's idempotent 1.0 per
-  // action) and later gates the per-candidate accumulator; one monotone
-  // stamp counter serves both, grounded once per query.
+  // action).
   ws.profile.assign(n, 0.0);
   ws.slot_stamp.assign(n, 0);
-  if (ws.slot_value.size() < n) ws.slot_value.resize(n);
   uint32_t stamp = 0;
   for (model::ActionId a : activity) {
     if (a >= num_actions) continue;  // action unseen by the library
@@ -259,77 +258,68 @@ void BestMatchRecommender::RecommendOver(
     s2 += h * h;
   }
   const double norm_h = std::sqrt(s2);
-  const bool profile_exact = SparseDistanceIsExact(n, max_h);
   const util::DistanceMetric metric = options_.metric;
 
+  // Index the candidates the certificate admits; the fold skips the rest,
+  // which take the dense walk below. A candidate's entries are bounded by
+  // its posting count.
+  ws.BeginCandidatePass(num_actions);
+  if (SparseDistanceIsExact(n, max_h)) {
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      double cap = std::max(
+          max_h,
+          static_cast<double>(library_->ImplsOfAction(candidates[i]).size()));
+      if (SparseDistanceIsExact(n, cap)) {
+        ws.SetCandidateIndex(candidates[i], static_cast<uint32_t>(i));
+      }
+    }
+  }
+  bool stopped = !FoldGoals(goal_space, ws.profile, candidates.size(), stop,
+                            ws);
+
   ws.top_k.Reset(k);
-  for (model::ActionId a : candidates) {
-    if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
-    std::span<const model::ImplId> postings = library_->ImplsOfAction(a);
-    double cap = std::max(max_h, static_cast<double>(postings.size()));
-    if (!profile_exact || !SparseDistanceIsExact(n, cap)) {
+  for (size_t i = 0; i < candidates.size() && !stopped; ++i) {
+    const model::ActionId a = candidates[i];
+    if (ws.CandidateIndexOf(a) == QueryWorkspace::kNoCandidate) {
+      if (stop != nullptr && stop->ShouldStop()) {
+        stopped = true;
+        break;
+      }
       ++ws.kernel_stats.dense_fallbacks;
       ActionVectorInto(a, goal_space, ws.action_vec);
       ws.top_k.Push(-util::Distance(ws.profile, ws.action_vec, metric), a);
       continue;
     }
-    ++stamp;
-    ws.touched_slots.clear();
-    for (model::ImplId p : postings) {
-      uint32_t slot = ws.GoalSlotOf(library_->GoalOf(p));
-      if (slot == QueryWorkspace::kNoSlot) continue;  // goal outside F_GS(H)
-      if (ws.slot_stamp[slot] != stamp) {
-        ws.slot_stamp[slot] = stamp;
-        ws.slot_value[slot] = 1.0;
-        ws.touched_slots.push_back(slot);
-      } else if (!boolean) {
-        ws.slot_value[slot] += 1.0;
-      }
-    }
     double distance = 0.0;
     switch (metric) {
-      case util::DistanceMetric::kEuclidean: {
-        // Σ_i (h_i − c_i)² = Σh² + Σ_touched ((h−c)² − h²), exactly.
-        double d2 = s2;
-        for (uint32_t slot : ws.touched_slots) {
-          double h = ws.profile[slot];
-          double d = h - ws.slot_value[slot];
-          d2 += d * d - h * h;
-        }
-        distance = std::sqrt(d2);
+      case util::DistanceMetric::kEuclidean:
+        // Σ_i (h_i − c_i)² = Σh² + Σ_{c>0} ((h−c)² − h²), exactly.
+        distance = std::sqrt(s2 + ws.fold_x[i]);
         break;
-      }
-      case util::DistanceMetric::kManhattan: {
-        double m = s1;
-        for (uint32_t slot : ws.touched_slots) {
-          double h = ws.profile[slot];
-          m += std::abs(h - ws.slot_value[slot]) - h;
-        }
-        distance = m;
+      case util::DistanceMetric::kManhattan:
+        distance = s1 + ws.fold_x[i];
         break;
-      }
       case util::DistanceMetric::kCosine: {
-        double dot = 0.0, c2 = 0.0;
-        for (uint32_t slot : ws.touched_slots) {
-          double c = ws.slot_value[slot];
-          dot += ws.profile[slot] * c;
-          c2 += c * c;
-        }
-        double nb = std::sqrt(c2);
+        double nb = std::sqrt(ws.fold_y[i]);
         // Same expression shape as util::CosineSimilarity, same operands.
-        double sim = (norm_h == 0.0 || nb == 0.0) ? 0.0 : dot / (norm_h * nb);
+        double sim = (norm_h == 0.0 || nb == 0.0)
+                         ? 0.0
+                         : ws.fold_x[i] / (norm_h * nb);
         distance = 1.0 - sim;
         break;
       }
     }
-    ws.kernel_stats.slots_touched +=
-        static_cast<uint32_t>(ws.touched_slots.size());
     ws.top_k.Push(-distance, a);
   }
   obs::FlightRecorder::Default().Record(
       obs::RecorderEventType::kStageStamp,
       static_cast<uint16_t>(obs::KernelStage::kRank),
       static_cast<uint32_t>(candidates.size()));
+  if (stopped) {
+    // A stopped fold leaves half-summed distances: emit nothing.
+    span.Annotate("stopped_early", true);
+    return;
+  }
   ws.top_k.TakeInto([&out](double score, uint32_t id) {
     out.push_back(ScoredAction{id, score});
   });
@@ -338,9 +328,70 @@ void BestMatchRecommender::RecommendOver(
       static_cast<uint16_t>(obs::KernelStage::kEmit),
       static_cast<uint32_t>(out.size()));
   span.Annotate("emitted", out.size());
-  if (stop != nullptr && stop->StopRequested()) {
-    span.Annotate("stopped_early", true);
+}
+
+// The goal-major fold. Where a candidate-major walk visits every posting of
+// every candidate and drops those whose goal lies outside GS(H), this walks
+// ImplsOfGoal(g) → ActionsOf(p) for the goals of GS(H) only. c_a[g] is
+// complete once goal g's implementations are walked, so its metric term is
+// folded into the candidate's accumulators before the next goal. Every term
+// is an exact integer under the caller's certificate, so the goal-major
+// summation order yields the same doubles as any other order.
+bool BestMatchRecommender::FoldGoals(std::span<const model::GoalId> goal_space,
+                                     std::span<const double> profile,
+                                     size_t num_candidates,
+                                     const util::StopToken* stop,
+                                     QueryWorkspace& ws) const {
+  const bool boolean =
+      options_.representation == GoalVectorRepresentation::kBoolean;
+  ws.fold_x.assign(num_candidates, 0.0);
+  ws.fold_y.assign(num_candidates, 0.0);
+  ws.fold_stamp.assign(num_candidates, 0);
+  if (ws.fold_count.size() < num_candidates) {
+    ws.fold_count.resize(num_candidates);
   }
+  for (size_t i = 0; i < goal_space.size(); ++i) {
+    if (stop != nullptr && stop->ShouldStop()) return false;
+    const uint32_t stamp = static_cast<uint32_t>(i) + 1;
+    ws.fold_touched.clear();
+    for (model::ImplId p : library_->ImplsOfGoal(goal_space[i])) {
+      for (model::ActionId a : library_->ActionsOf(p)) {
+        const uint32_t c = ws.CandidateIndexOf(a);
+        if (c == QueryWorkspace::kNoCandidate) continue;
+        if (ws.fold_stamp[c] != stamp) {
+          ws.fold_stamp[c] = stamp;
+          ws.fold_count[c] = 1.0;
+          ws.fold_touched.push_back(c);
+        } else if (!boolean) {
+          ws.fold_count[c] += 1.0;
+        }
+      }
+    }
+    const double h = profile[i];
+    switch (options_.metric) {
+      case util::DistanceMetric::kEuclidean:
+        for (uint32_t c : ws.fold_touched) {
+          double d = h - ws.fold_count[c];
+          ws.fold_x[c] += d * d - h * h;
+        }
+        break;
+      case util::DistanceMetric::kManhattan:
+        for (uint32_t c : ws.fold_touched) {
+          ws.fold_x[c] += std::abs(h - ws.fold_count[c]) - h;
+        }
+        break;
+      case util::DistanceMetric::kCosine:
+        for (uint32_t c : ws.fold_touched) {
+          double count = ws.fold_count[c];
+          ws.fold_x[c] += h * count;
+          ws.fold_y[c] += count * count;
+        }
+        break;
+    }
+    ws.kernel_stats.slots_touched +=
+        static_cast<uint32_t>(ws.fold_touched.size());
+  }
+  return true;
 }
 
 // Phase A of the sharded fan-out. Goal-colocated partitioning means every
@@ -403,7 +454,6 @@ void BestMatchRecommender::BuildShardProfile(util::IdSpan activity,
       options_.representation == GoalVectorRepresentation::kBoolean;
   ws.profile.assign(n, 0.0);
   ws.slot_stamp.assign(n, 0);
-  if (ws.slot_value.size() < n) ws.slot_value.resize(n);
   uint32_t stamp = 0;
   for (model::ActionId a : activity) {
     if (a >= num_actions) continue;
@@ -430,68 +480,30 @@ void BestMatchRecommender::BuildShardProfile(util::IdSpan activity,
 }
 
 // Phase B of the sharded fan-out: this shard's exact-integer contribution
-// to each global candidate's distance. The per-candidate slot scatter and
-// the metric partials are literally the unsharded kernel's inner loop
-// restricted to this shard's slots, so the root's recombination
+// to each global candidate's distance. It is the unsharded kernel's fold
+// restricted to this shard's GS(H) slice, so the root's recombination
 // (shard_merge.cc) sums the same integer terms the unsharded kernel sums.
 void BestMatchRecommender::ShardCandidatePartials(
     util::IdSpan candidates, const util::StopToken* stop, QueryWorkspace& ws,
     std::vector<BestMatchCandidatePartial>& out) const {
   GOALREC_CHECK(options_.goal_weights == nullptr);
-  const size_t n = ws.goal_space.size();
-  const bool boolean =
-      options_.representation == GoalVectorRepresentation::kBoolean;
-  const util::DistanceMetric metric = options_.metric;
   out.clear();
   out.resize(candidates.size());
-  // Fresh stamps for this pass; the goal→slot map and ws.profile are the
-  // slice state BuildShardProfile left behind.
-  ws.slot_stamp.assign(n, 0);
-  if (ws.slot_value.size() < n) ws.slot_value.resize(n);
-  uint32_t stamp = 0;
+  ws.BeginCandidatePass(library_->num_actions());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
-    const model::ActionId a = candidates[i];
-    std::span<const model::ImplId> postings = library_->ImplsOfAction(a);
-    BestMatchCandidatePartial& partial = out[i];
-    partial.postings = static_cast<uint32_t>(postings.size());
-    ++stamp;
-    ws.touched_slots.clear();
-    for (model::ImplId p : postings) {
-      uint32_t slot = ws.GoalSlotOf(library_->GoalOf(p));
-      if (slot == QueryWorkspace::kNoSlot) continue;  // goal outside F_GS(H)
-      if (ws.slot_stamp[slot] != stamp) {
-        ws.slot_stamp[slot] = stamp;
-        ws.slot_value[slot] = 1.0;
-        ws.touched_slots.push_back(slot);
-      } else if (!boolean) {
-        ws.slot_value[slot] += 1.0;
-      }
-    }
-    switch (metric) {
-      case util::DistanceMetric::kEuclidean:
-        for (uint32_t slot : ws.touched_slots) {
-          double h = ws.profile[slot];
-          double d = h - ws.slot_value[slot];
-          partial.x += d * d - h * h;
-        }
-        break;
-      case util::DistanceMetric::kManhattan:
-        for (uint32_t slot : ws.touched_slots) {
-          double h = ws.profile[slot];
-          partial.x += std::abs(h - ws.slot_value[slot]) - h;
-        }
-        break;
-      case util::DistanceMetric::kCosine:
-        for (uint32_t slot : ws.touched_slots) {
-          double c = ws.slot_value[slot];
-          partial.x += ws.profile[slot] * c;
-          partial.y += c * c;
-        }
-        break;
-    }
-    ws.kernel_stats.slots_touched +=
-        static_cast<uint32_t>(ws.touched_slots.size());
+    ws.SetCandidateIndex(candidates[i], static_cast<uint32_t>(i));
+    out[i].postings =
+        static_cast<uint32_t>(library_->ImplsOfAction(candidates[i]).size());
+  }
+  // The goal→slot map and ws.profile are the slice state BuildShardProfile
+  // left behind. A stopped fold leaves the partials at zero; the root sees
+  // the same stop and emits nothing.
+  if (!FoldGoals(ws.goal_space, ws.profile, candidates.size(), stop, ws)) {
+    return;
+  }
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    out[i].x = ws.fold_x[i];
+    out[i].y = ws.fold_y[i];
   }
 }
 

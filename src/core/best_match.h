@@ -60,14 +60,16 @@ class BestMatchRecommender : public Recommender {
   RecommendationList Recommend(const model::Activity& activity,
                                size_t k) const override;
 
-  /// Deadline-aware Recommend: the per-candidate vectorisation loop (the
-  /// strategy's dominant cost, §5.4) polls `stop` and the result is a
-  /// best-effort partial once it fires.
+  /// Deadline-aware Recommend: the goal-major fold (the strategy's dominant
+  /// cost, §5.4) polls `stop` once per goal of GS(H). Once it fires the
+  /// result is empty — a half-summed distance never reaches the top-k. With
+  /// goal weights the dense per-candidate loop polls instead and returns a
+  /// best-effort partial.
   RecommendationList RecommendCancellable(
       const model::Activity& activity, size_t k,
       const util::StopToken* stop) const override;
 
-  /// Zero-allocation serving path: spaces, profile and per-candidate vectors
+  /// Zero-allocation serving path: spaces, profile and per-candidate sums
   /// all live on `workspace`'s reusable buffers.
   void RecommendPooled(util::IdSpan activity, size_t k,
                        const util::StopToken* stop, QueryWorkspace* workspace,
@@ -106,9 +108,10 @@ class BestMatchRecommender : public Recommender {
   /// Sharded fan-out, phase B: for every action in `candidates` (the root's
   /// global candidate union, any order), this shard's local posting count
   /// and exact-integer distance partial over its GS(H) slice, aligned with
-  /// `candidates`. Must run on the same workspace as BuildShardProfile,
-  /// after it, with no other workspace use in between (it reads the slice
-  /// state phase A left behind).
+  /// `candidates` — the unsharded kernel's goal-major fold run over the
+  /// slice. Must run on the same workspace as BuildShardProfile, after it,
+  /// with no other workspace use in between (it reads the slice state
+  /// phase A left behind).
   void ShardCandidatePartials(util::IdSpan candidates,
                               const util::StopToken* stop, QueryWorkspace& ws,
                               std::vector<BestMatchCandidatePartial>& out)
@@ -122,6 +125,16 @@ class BestMatchRecommender : public Recommender {
   void ProfileInto(util::IdSpan activity,
                    std::span<const model::GoalId> goal_space,
                    util::DenseVector& out, util::DenseVector& scratch) const;
+  /// The goal-major fold shared by RecommendOver and
+  /// ShardCandidatePartials: for each goal of `goal_space` in slot order,
+  /// counts c_a[g] for every candidate indexed in `ws` (BeginCandidatePass /
+  /// SetCandidateIndex, indices < `num_candidates`), then folds the goal's
+  /// metric term into ws.fold_x / ws.fold_y — Euclidean (h−c)²−h²,
+  /// Manhattan |h−c|−h, cosine h·c and c². Polls `stop` once per goal and
+  /// returns false once it fires, leaving the accumulators half-summed.
+  bool FoldGoals(std::span<const model::GoalId> goal_space,
+                 std::span<const double> profile, size_t num_candidates,
+                 const util::StopToken* stop, QueryWorkspace& ws) const;
   void RecommendOver(util::IdSpan activity,
                      std::span<const model::GoalId> goal_space,
                      util::IdSpan candidates, size_t k,

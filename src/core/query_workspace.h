@@ -169,6 +169,42 @@ class QueryWorkspace {
     return goal_epoch_[g] == goal_mark_ ? goal_slot_[g] : kNoSlot;
   }
 
+  // --- Epoch-stamped candidate index ------------------------------------
+  //
+  // Best Match's goal-major fold: action id → the action's index in the
+  // query's candidate list, so a walk over a goal's implementations finds
+  // each candidate's fold accumulators in O(1) and skips every other
+  // action. Index and stamp share one slot (one cache line per lookup).
+
+  static constexpr uint32_t kNoCandidate = 0xFFFFFFFFu;
+
+  /// Starts a fresh candidate pass over action ids < `num_actions`.
+  void BeginCandidatePass(size_t num_actions) {
+    if (candidate_slot_.size() < num_actions) {
+      candidate_slot_.resize(num_actions);
+    }
+    if (++candidate_mark_ == 0) {
+      std::fill(candidate_slot_.begin(), candidate_slot_.end(),
+                CandidateSlot{});
+      candidate_mark_ = 1;
+    }
+  }
+
+  void SetCandidateIndex(model::ActionId a, uint32_t index) {
+    candidate_slot_[a] = CandidateSlot{candidate_mark_, index};
+  }
+
+  /// Index assigned this pass, or kNoCandidate.
+  uint32_t CandidateIndexOf(model::ActionId a) const {
+    const CandidateSlot& slot = candidate_slot_[a];
+    return slot.epoch == candidate_mark_ ? slot.index : kNoCandidate;
+  }
+
+  /// The current candidate epoch; the setter positions it so tests can
+  /// drive the uint32 wraparound without four billion passes.
+  uint32_t candidate_epoch() const { return candidate_mark_; }
+  void SetCandidateEpochForTesting(uint32_t epoch) { candidate_mark_ = epoch; }
+
   // --- Reusable buffers -------------------------------------------------
   //
   // QueryContext::Create fills the four space buffers; the spans on the
@@ -186,12 +222,17 @@ class QueryWorkspace {
   util::ScoredTopK top_k;                      ///< Reset(k) before use
   util::DenseVector profile;                   ///< Best Match H⃗
   util::DenseVector action_vec;                ///< Best Match a⃗ scratch
-  /// Best Match slot-indexed candidate scratch (kernel-managed): sparse
-  /// per-candidate counts over GS(H) slots plus the stamp array that
-  /// doubles as the kBoolean profile dedup.
-  std::vector<double> slot_value;
+  /// Best Match's kBoolean profile dedup: per GS(H) slot, the stamp of the
+  /// last activity action that counted towards it.
   std::vector<uint32_t> slot_stamp;
-  model::IdSet touched_slots;
+  /// Best Match goal-major fold scratch, indexed by candidate index: c_a[g]
+  /// of the goal being folded and the stamp marking its first touch, the
+  /// candidates the goal touched, and the metric accumulators (x, y).
+  std::vector<double> fold_count;
+  std::vector<uint32_t> fold_stamp;
+  model::IdSet fold_touched;
+  std::vector<double> fold_x;
+  std::vector<double> fold_y;
   /// Breadth's dense score accumulator: used instead of the epoch-stamped
   /// sparse array when the scatter's credit mass is large enough that an
   /// O(num_actions) assign-reset plus unconditional adds beats per-credit
@@ -205,7 +246,7 @@ class QueryWorkspace {
   /// before each rung attempt.
   struct KernelStats {
     uint32_t dense_fallbacks = 0;  ///< candidates scored via the dense path
-    uint32_t slots_touched = 0;    ///< slot-scatter entries across candidates
+    uint32_t slots_touched = 0;    ///< (candidate, goal) pairs with c > 0
     uint32_t dense_resets = 0;     ///< Breadth dense-accumulator activations
   };
   KernelStats kernel_stats;
@@ -224,6 +265,12 @@ class QueryWorkspace {
   uint32_t goal_mark_ = 0;
   std::vector<uint32_t> goal_epoch_;
   std::vector<uint32_t> goal_slot_;
+  struct CandidateSlot {
+    uint32_t epoch = 0;
+    uint32_t index = 0;
+  };
+  uint32_t candidate_mark_ = 0;
+  std::vector<CandidateSlot> candidate_slot_;
 };
 
 /// A mutex-guarded free list of workspaces. Acquire() hands out an RAII

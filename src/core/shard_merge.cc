@@ -172,9 +172,11 @@ void ScoreBestMatchCandidates(
   for (const std::vector<BestMatchCandidatePartial>& shard : partials) {
     GOALREC_CHECK(shard.size() == num_candidates);
   }
+  // A shard whose fold stopped left half-summed partials; its stop token is
+  // a copy of `stop`, so the unstrided check here sees the same stop.
+  if (stop != nullptr && stop->StopRequested()) return;
   root_ws.top_k.Reset(k);
   for (size_t i = 0; i < num_candidates; ++i) {
-    if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
     const model::ActionId a = root_ws.candidates[i];
     uint64_t total_postings = 0;
     for (const std::vector<BestMatchCandidatePartial>& shard : partials) {
@@ -188,7 +190,8 @@ void ScoreBestMatchCandidates(
     if (!state.profile_exact || !SparseDistanceIsExact(n, cap)) {
       // Same escape hatch as the unsharded kernel: embed the candidate
       // densely over the global goal space (base library postings) and
-      // take the strict-order distance.
+      // take the strict-order distance. A stop here, too, emits nothing.
+      if (stop != nullptr && stop->ShouldStop()) return;
       ++root_ws.kernel_stats.dense_fallbacks;
       ActionVectorInto(base, representation, a, root_ws.goal_space,
                        root_ws.action_vec);

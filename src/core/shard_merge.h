@@ -75,7 +75,8 @@ void MergeBestMatchProfiles(std::span<const BestMatchShardProfile> shards,
 /// inner vector sized to the candidate count). Candidates whose global
 /// certificate fails are re-scored densely at the root against `base` —
 /// the identical fallback the unsharded kernel takes, counted in
-/// root_ws.kernel_stats.dense_fallbacks. Requires the root workspace state
+/// root_ws.kernel_stats.dense_fallbacks. Once `stop` fires the list is
+/// empty, as in the unsharded kernel. Requires the root workspace state
 /// left by MergeBestMatchProfiles.
 void ScoreBestMatchCandidates(
     const model::ImplementationLibrary& base,

@@ -8,6 +8,7 @@
 #include "core/breadth.h"
 #include "core/focus.h"
 #include "core/query_workspace.h"
+#include "util/logging.h"
 
 namespace goalrec::testing {
 namespace {
@@ -22,6 +23,24 @@ std::string RenderItem(model::ActionId action, double score) {
   out.precision(17);
   out << "(action " << action << ", score " << score << ")";
   return out.str();
+}
+
+ReferenceVectorKind ToReference(core::GoalVectorRepresentation representation) {
+  return representation == core::GoalVectorRepresentation::kBoolean
+             ? ReferenceVectorKind::kBoolean
+             : ReferenceVectorKind::kImplementationCount;
+}
+
+ReferenceDistance ToReference(util::DistanceMetric metric) {
+  switch (metric) {
+    case util::DistanceMetric::kEuclidean:
+      return ReferenceDistance::kEuclidean;
+    case util::DistanceMetric::kManhattan:
+      return ReferenceDistance::kManhattan;
+    case util::DistanceMetric::kCosine:
+      return ReferenceDistance::kCosine;
+  }
+  return ReferenceDistance::kEuclidean;
 }
 
 // The run of indices [i, j) sharing optimized[i]'s score (reference scores
@@ -58,6 +77,44 @@ std::optional<OracleStrategy> OracleStrategyFromName(std::string_view name) {
     if (name == OracleStrategyName(s)) return s;
   }
   return std::nullopt;
+}
+
+std::vector<core::BestMatchOptions> AllBestMatchVariants() {
+  std::vector<core::BestMatchOptions> variants;
+  for (core::GoalVectorRepresentation representation :
+       {core::GoalVectorRepresentation::kImplementationCount,
+        core::GoalVectorRepresentation::kBoolean}) {
+    for (util::DistanceMetric metric :
+         {util::DistanceMetric::kEuclidean, util::DistanceMetric::kManhattan,
+          util::DistanceMetric::kCosine}) {
+      core::BestMatchOptions variant;
+      variant.representation = representation;
+      variant.metric = metric;
+      variants.push_back(variant);
+    }
+  }
+  return variants;
+}
+
+std::string BestMatchVariantName(const core::BestMatchOptions& variant) {
+  std::string name =
+      variant.representation == core::GoalVectorRepresentation::kBoolean
+          ? "boolean/"
+          : "count/";
+  switch (variant.metric) {
+    case util::DistanceMetric::kEuclidean:
+      return name + "euclidean";
+    case util::DistanceMetric::kManhattan:
+      return name + "manhattan";
+    case util::DistanceMetric::kCosine:
+      return name + "cosine";
+  }
+  return name + "unknown";
+}
+
+std::vector<core::BestMatchOptions> OracleVariants(OracleStrategy strategy) {
+  if (strategy == OracleStrategy::kBestMatch) return AllBestMatchVariants();
+  return {core::BestMatchOptions{}};
 }
 
 DiffOutcome CompareLists(const core::RecommendationList& optimized,
@@ -125,7 +182,8 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
 
 core::RecommendationList RunOptimized(
     const model::ImplementationLibrary& library, OracleStrategy strategy,
-    const model::Activity& activity, size_t k) {
+    const model::Activity& activity, size_t k,
+    const core::BestMatchOptions& variant) {
   switch (strategy) {
     case OracleStrategy::kFocusCompleteness:
       return core::FocusRecommender(&library, core::FocusVariant::kCompleteness)
@@ -136,7 +194,8 @@ core::RecommendationList RunOptimized(
     case OracleStrategy::kBreadth:
       return core::BreadthRecommender(&library).Recommend(activity, k);
     case OracleStrategy::kBestMatch:
-      return core::BestMatchRecommender(&library).Recommend(activity, k);
+      return core::BestMatchRecommender(&library, variant)
+          .Recommend(activity, k);
   }
   return {};
 }
@@ -144,7 +203,7 @@ core::RecommendationList RunOptimized(
 core::RecommendationList RunOptimizedPooled(
     const model::ImplementationLibrary& library, OracleStrategy strategy,
     const model::Activity& activity, size_t k,
-    core::QueryWorkspace& workspace) {
+    core::QueryWorkspace& workspace, const core::BestMatchOptions& variant) {
   core::RecommendationList out;
   switch (strategy) {
     case OracleStrategy::kFocusCompleteness:
@@ -160,9 +219,8 @@ core::RecommendationList RunOptimizedPooled(
                                                          &workspace, out);
       break;
     case OracleStrategy::kBestMatch:
-      core::BestMatchRecommender(&library).RecommendPooled(activity, k,
-                                                           nullptr, &workspace,
-                                                           out);
+      core::BestMatchRecommender(&library, variant)
+          .RecommendPooled(activity, k, nullptr, &workspace, out);
       break;
   }
   return out;
@@ -170,7 +228,8 @@ core::RecommendationList RunOptimizedPooled(
 
 ReferenceList RunReference(const model::ImplementationLibrary& library,
                            OracleStrategy strategy,
-                           const model::Activity& activity, size_t k) {
+                           const model::Activity& activity, size_t k,
+                           const core::BestMatchOptions& variant) {
   switch (strategy) {
     case OracleStrategy::kFocusCompleteness:
       return ReferenceFocus(library, ReferenceFocusVariant::kCompleteness,
@@ -181,7 +240,10 @@ ReferenceList RunReference(const model::ImplementationLibrary& library,
     case OracleStrategy::kBreadth:
       return ReferenceBreadth(library, activity, k);
     case OracleStrategy::kBestMatch:
-      return ReferenceBestMatch(library, activity, k);
+      GOALREC_CHECK(variant.goal_weights == nullptr);
+      return ReferenceBestMatch(library, activity, k,
+                                ToReference(variant.representation),
+                                ToReference(variant.metric));
   }
   return {};
 }
@@ -189,13 +251,17 @@ ReferenceList RunReference(const model::ImplementationLibrary& library,
 DiffOutcome DiffStrategy(const model::ImplementationLibrary& library,
                          OracleStrategy strategy,
                          const model::Activity& activity, size_t k,
-                         const DiffOptions& options) {
-  DiffOutcome outcome =
-      CompareLists(RunOptimized(library, strategy, activity, k),
-                   RunReference(library, strategy, activity, k), options);
+                         const DiffOptions& options,
+                         const core::BestMatchOptions& variant) {
+  DiffOutcome outcome = CompareLists(
+      RunOptimized(library, strategy, activity, k, variant),
+      RunReference(library, strategy, activity, k, variant), options);
   if (!outcome.match) {
-    outcome.detail = std::string(OracleStrategyName(strategy)) + ": " +
-                     outcome.detail;
+    std::string name = OracleStrategyName(strategy);
+    if (strategy == OracleStrategy::kBestMatch) {
+      name += " " + BestMatchVariantName(variant);
+    }
+    outcome.detail = name + ": " + outcome.detail;
   }
   return outcome;
 }

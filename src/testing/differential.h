@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/best_match.h"
 #include "core/recommender.h"
 #include "model/library.h"
 #include "model/types.h"
@@ -45,6 +46,18 @@ const char* OracleStrategyName(OracleStrategy strategy);
 /// Inverse of OracleStrategyName; nullopt for unknown names.
 std::optional<OracleStrategy> OracleStrategyFromName(std::string_view name);
 
+/// The six unweighted Best Match configurations: {count, boolean} vectors ×
+/// {Euclidean, Manhattan, cosine} distance, the paper default (count,
+/// Euclidean — a default-constructed BestMatchOptions) first.
+std::vector<core::BestMatchOptions> AllBestMatchVariants();
+
+/// Display name, e.g. "count/euclidean", "boolean/cosine".
+std::string BestMatchVariantName(const core::BestMatchOptions& variant);
+
+/// The configurations a differential sweep runs `strategy` in: all six
+/// variants for Best Match, the (ignored) default for the others.
+std::vector<core::BestMatchOptions> OracleVariants(OracleStrategy strategy);
+
 struct DiffOptions {
   /// When true, runs of equal scores must match element-for-element; when
   /// false (default) tied actions may appear in any order within their run.
@@ -66,11 +79,12 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
                          const ReferenceList& reference,
                          const DiffOptions& options = {});
 
-/// Runs the optimized src/core/ strategy (paper-default configuration, no
-/// goal weights).
+/// Runs the optimized src/core/ strategy (no goal weights; Best Match in
+/// `variant`, which must be unweighted).
 core::RecommendationList RunOptimized(
     const model::ImplementationLibrary& library, OracleStrategy strategy,
-    const model::Activity& activity, size_t k);
+    const model::Activity& activity, size_t k,
+    const core::BestMatchOptions& variant = {});
 
 /// Runs the optimized strategy through the pooled-workspace serving path
 /// (RecommendPooled over a caller-owned, reused QueryWorkspace) — the
@@ -78,19 +92,22 @@ core::RecommendationList RunOptimized(
 /// to RunOptimized; tests/oracle/snapshot_test.cc holds it to that.
 core::RecommendationList RunOptimizedPooled(
     const model::ImplementationLibrary& library, OracleStrategy strategy,
-    const model::Activity& activity, size_t k, core::QueryWorkspace& workspace);
+    const model::Activity& activity, size_t k, core::QueryWorkspace& workspace,
+    const core::BestMatchOptions& variant = {});
 
 /// Runs the naive reference for the same configuration.
 ReferenceList RunReference(const model::ImplementationLibrary& library,
                            OracleStrategy strategy,
-                           const model::Activity& activity, size_t k);
+                           const model::Activity& activity, size_t k,
+                           const core::BestMatchOptions& variant = {});
 
 /// Optimized-vs-reference on one case; the workhorse of the oracle tests,
 /// the fuzz loop and the shrinker's failure predicate.
 DiffOutcome DiffStrategy(const model::ImplementationLibrary& library,
                          OracleStrategy strategy,
                          const model::Activity& activity, size_t k,
-                         const DiffOptions& options = {});
+                         const DiffOptions& options = {},
+                         const core::BestMatchOptions& variant = {});
 
 }  // namespace goalrec::testing
 

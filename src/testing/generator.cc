@@ -234,4 +234,24 @@ std::vector<CaseShape> DefaultCaseShapes() {
   return shapes;
 }
 
+CaseShape FoodMartShapedCaseShape() {
+  CaseShape shape;
+  shape.library.num_goals = 2000;
+  shape.library.num_actions = 48;
+  shape.library.min_impls_per_goal = 1;
+  shape.library.max_impls_per_goal = 1;
+  shape.library.min_actions_per_impl = 4;
+  shape.library.max_actions_per_impl = 10;
+  shape.library.zipf_exponent = 0.8;
+  shape.library.empty_impl_prob = 0.0;
+  shape.library.singleton_impl_prob = 0.0;
+  shape.library.disconnected_action_fraction = 0.05;
+  shape.activity.min_size = 1;
+  shape.activity.max_size = 12;
+  shape.activity.superset_prob = 0.0;
+  shape.min_k = 1;
+  shape.max_k = 40;  // > most candidate pools: exercises exhaustion
+  return shape;
+}
+
 }  // namespace goalrec::testing

@@ -110,6 +110,13 @@ OracleCase GenerateCase(const CaseShape& shape, uint64_t seed);
 /// only the documented tie order distinguishes outputs.
 std::vector<CaseShape> DefaultCaseShapes();
 
+/// A FoodMart-shaped family kept small enough for the naive reference: one
+/// goal per implementation (a recipe), a few dozen actions (products) with
+/// connectivity in the hundreds, and long activities (|H| up to 12) whose
+/// goal spaces cover most of the library — the long cart prefixes that
+/// dominate Best Match's cost in serving.
+CaseShape FoodMartShapedCaseShape();
+
 }  // namespace goalrec::testing
 
 #endif  // GOALREC_TESTING_GENERATOR_H_

@@ -144,15 +144,23 @@ double ReferenceBreadthScore(const model::ImplementationLibrary& library,
 
 std::vector<double> ReferenceActionGoalVector(
     const model::ImplementationLibrary& library, model::ActionId action,
-    const std::vector<model::GoalId>& goal_space) {
+    const std::vector<model::GoalId>& goal_space, ReferenceVectorKind kind) {
+  // Every implementation is scanned; one containing the action adds to the
+  // entry of its goal, when that goal is in the space.
   std::vector<double> vec(goal_space.size(), 0.0);
-  for (size_t i = 0; i < goal_space.size(); ++i) {
-    for (model::ImplId p = 0; p < library.num_implementations(); ++p) {
-      if (library.GoalOf(p) != goal_space[i]) continue;
-      for (model::ActionId b : library.ActionsOf(p)) {
-        if (b == action) vec[i] += 1.0;
-      }
+  for (model::ImplId p = 0; p < library.num_implementations(); ++p) {
+    double hits = 0.0;
+    for (model::ActionId b : library.ActionsOf(p)) {
+      if (b == action) hits += 1.0;
     }
+    if (hits == 0.0) continue;
+    auto it = std::lower_bound(goal_space.begin(), goal_space.end(),
+                               library.GoalOf(p));
+    if (it == goal_space.end() || *it != library.GoalOf(p)) continue;
+    vec[static_cast<size_t>(it - goal_space.begin())] += hits;
+  }
+  if (kind == ReferenceVectorKind::kBoolean) {
+    for (double& v : vec) v = v > 0.0 ? 1.0 : 0.0;
   }
   return vec;
 }
@@ -160,13 +168,46 @@ std::vector<double> ReferenceActionGoalVector(
 std::vector<double> ReferenceProfile(
     const model::ImplementationLibrary& library,
     const model::Activity& activity,
-    const std::vector<model::GoalId>& goal_space) {
+    const std::vector<model::GoalId>& goal_space, ReferenceVectorKind kind) {
   std::vector<double> profile(goal_space.size(), 0.0);
   for (model::ActionId a : activity) {
-    std::vector<double> vec = ReferenceActionGoalVector(library, a, goal_space);
+    std::vector<double> vec =
+        ReferenceActionGoalVector(library, a, goal_space, kind);
     for (size_t i = 0; i < profile.size(); ++i) profile[i] += vec[i];
   }
   return profile;
+}
+
+double ReferenceGoalDistance(const std::vector<double>& profile,
+                             const std::vector<double>& vec,
+                             ReferenceDistance metric) {
+  double sum = 0.0;
+  switch (metric) {
+    case ReferenceDistance::kEuclidean:
+      for (size_t i = 0; i < profile.size(); ++i) {
+        double diff = profile[i] - vec[i];
+        sum += diff * diff;
+      }
+      return std::sqrt(sum);
+    case ReferenceDistance::kManhattan:
+      for (size_t i = 0; i < profile.size(); ++i) {
+        sum += std::abs(profile[i] - vec[i]);
+      }
+      return sum;
+    case ReferenceDistance::kCosine: {
+      double hh = 0.0, cc = 0.0;
+      for (size_t i = 0; i < profile.size(); ++i) {
+        sum += profile[i] * vec[i];
+        hh += profile[i] * profile[i];
+        cc += vec[i] * vec[i];
+      }
+      double nh = std::sqrt(hh);
+      double nc = std::sqrt(cc);
+      double similarity = (nh == 0.0 || nc == 0.0) ? 0.0 : sum / (nh * nc);
+      return 1.0 - similarity;
+    }
+  }
+  return 0.0;
 }
 
 ReferenceList ReferenceFocus(const model::ImplementationLibrary& library,
@@ -220,22 +261,21 @@ ReferenceList ReferenceBreadth(const model::ImplementationLibrary& library,
 }
 
 ReferenceList ReferenceBestMatch(const model::ImplementationLibrary& library,
-                                 const model::Activity& activity, size_t k) {
+                                 const model::Activity& activity, size_t k,
+                                 ReferenceVectorKind kind,
+                                 ReferenceDistance metric) {
   if (k == 0) return {};
   std::vector<model::GoalId> goal_space = ReferenceGoalSpace(library, activity);
   if (goal_space.empty()) return {};
-  std::vector<double> profile = ReferenceProfile(library, activity, goal_space);
+  std::vector<double> profile =
+      ReferenceProfile(library, activity, goal_space, kind);
   ReferenceList list;
   for (model::ActionId a : ReferenceCandidates(library, activity)) {
-    std::vector<double> vec = ReferenceActionGoalVector(library, a, goal_space);
-    double sum_of_squares = 0.0;
-    for (size_t i = 0; i < profile.size(); ++i) {
-      double diff = profile[i] - vec[i];
-      sum_of_squares += diff * diff;
-    }
-    double distance = std::sqrt(sum_of_squares);
+    std::vector<double> vec =
+        ReferenceActionGoalVector(library, a, goal_space, kind);
     // Negated so the shared "higher score wins" ordering applies.
-    list.push_back(ReferenceItem{a, -distance});
+    list.push_back(
+        ReferenceItem{a, -ReferenceGoalDistance(profile, vec, metric)});
   }
   return SortAndTruncate(std::move(list), k);
 }

@@ -33,9 +33,10 @@
 // single IEEE division (Focus) or a sum of small integers (Breadth, Best
 // Match vector entries), so the reference reproduces the optimized scores
 // bit-for-bit and the differential comparison can demand exact equality.
-// The reference covers the paper-default Best Match configuration
-// (implementation-count vectors, Euclidean distance) — the configuration
-// the differential harness runs the optimized strategy in.
+// Best Match is covered in all six unweighted configurations: boolean
+// (Eq. 7) or implementation-count (Eq. 8) vectors, under Euclidean,
+// Manhattan or cosine distance. The defaults are the paper's (Eq. 8,
+// Euclidean).
 
 namespace goalrec::testing {
 
@@ -54,6 +55,19 @@ using ReferenceList = std::vector<ReferenceItem>;
 enum class ReferenceFocusVariant {
   kCompleteness,  // Focus_cmp
   kCloseness,     // Focus_cl
+};
+
+/// How Best Match embeds an action in the goal space.
+enum class ReferenceVectorKind {
+  kImplementationCount,  // Eq. 8: implementations of g_i containing a
+  kBoolean,              // Eq. 7: 1 iff some implementation of g_i has a
+};
+
+/// Best Match's dist(H⃗, a⃗) (Eq. 10).
+enum class ReferenceDistance {
+  kEuclidean,  // sqrt(Σ (h_i − c_i)²)
+  kManhattan,  // Σ |h_i − c_i|
+  kCosine,     // 1 − H⃗·a⃗ / (‖H⃗‖ ‖a⃗‖), similarity 0 when a norm is 0
 };
 
 // --- naive space derivation (Definitions 4.1/4.2) ---------------------------
@@ -98,16 +112,24 @@ double ReferenceBreadthScore(const model::ImplementationLibrary& library,
                              const model::Activity& activity);
 
 /// Eq. 8 embedding of `action` over the sorted `goal_space`: entry i counts
-/// the implementations of goal_space[i] containing the action.
+/// the implementations of goal_space[i] containing the action. With
+/// kBoolean (Eq. 7) every non-zero entry is 1.
 std::vector<double> ReferenceActionGoalVector(
     const model::ImplementationLibrary& library, model::ActionId action,
-    const std::vector<model::GoalId>& goal_space);
+    const std::vector<model::GoalId>& goal_space,
+    ReferenceVectorKind kind = ReferenceVectorKind::kImplementationCount);
 
 /// Eq. 9 profile H⃗ = Σ_{a∈H} a⃗ over the sorted `goal_space`.
 std::vector<double> ReferenceProfile(
     const model::ImplementationLibrary& library,
     const model::Activity& activity,
-    const std::vector<model::GoalId>& goal_space);
+    const std::vector<model::GoalId>& goal_space,
+    ReferenceVectorKind kind = ReferenceVectorKind::kImplementationCount);
+
+/// dist(profile, vec) (Eq. 10), summed in index order.
+double ReferenceGoalDistance(const std::vector<double>& profile,
+                             const std::vector<double>& vec,
+                             ReferenceDistance metric);
 
 // --- full strategies --------------------------------------------------------
 
@@ -123,11 +145,15 @@ ReferenceList ReferenceFocus(const model::ImplementationLibrary& library,
 ReferenceList ReferenceBreadth(const model::ImplementationLibrary& library,
                                const model::Activity& activity, size_t k);
 
-/// Algorithms 3–4 (Best Match, paper defaults): candidates ranked by
-/// ascending Euclidean distance between implementation-count goal vectors;
-/// score is the negated distance. Up to `k` items.
-ReferenceList ReferenceBestMatch(const model::ImplementationLibrary& library,
-                                 const model::Activity& activity, size_t k);
+/// Algorithms 3–4 (Best Match): candidates ranked by ascending distance
+/// between their goal vectors and the profile; score is the negated
+/// distance. The defaults are the paper's: implementation-count vectors,
+/// Euclidean distance. Up to `k` items.
+ReferenceList ReferenceBestMatch(
+    const model::ImplementationLibrary& library,
+    const model::Activity& activity, size_t k,
+    ReferenceVectorKind kind = ReferenceVectorKind::kImplementationCount,
+    ReferenceDistance metric = ReferenceDistance::kEuclidean);
 
 }  // namespace goalrec::testing
 

@@ -40,11 +40,14 @@ TEST_P(OracleDifferentialTest, MatchesReferenceOnSeededGeneratedCases) {
     OracleCase c =
         GenerateCase(shapes[static_cast<size_t>(i) % shapes.size()],
                      case_seed);
-    DiffOutcome outcome = DiffStrategy(c.library, GetParam(), c.activity, c.k);
-    ASSERT_TRUE(outcome.match)
-        << outcome.detail << " (case seed " << case_seed << ", shape "
-        << i % shapes.size() << ", |H| = " << c.activity.size()
-        << ", k = " << c.k << ")";
+    for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
+      DiffOutcome outcome =
+          DiffStrategy(c.library, GetParam(), c.activity, c.k, {}, variant);
+      ASSERT_TRUE(outcome.match)
+          << outcome.detail << " (case seed " << case_seed << ", shape "
+          << i % shapes.size() << ", |H| = " << c.activity.size()
+          << ", k = " << c.k << ")";
+    }
   }
 }
 
@@ -63,10 +66,12 @@ TEST_P(OracleDifferentialTest, StrictOrderMatchesOnSeededGeneratedCases) {
     OracleCase c =
         GenerateCase(shapes[static_cast<size_t>(i) % shapes.size()],
                      case_seed);
-    DiffOutcome outcome =
-        DiffStrategy(c.library, GetParam(), c.activity, c.k, strict);
-    ASSERT_TRUE(outcome.match)
-        << outcome.detail << " (case seed " << case_seed << ")";
+    for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
+      DiffOutcome outcome = DiffStrategy(c.library, GetParam(), c.activity,
+                                         c.k, strict, variant);
+      ASSERT_TRUE(outcome.match)
+          << outcome.detail << " (case seed " << case_seed << ")";
+    }
   }
 }
 
@@ -77,9 +82,12 @@ TEST_P(OracleDifferentialTest, MatchesReferenceOnThePaperExample) {
         model::Activity{A(1), A(2)}, model::Activity{A(1), A(2), A(3)},
         model::Activity{A(6)}, model::Activity{A(1), A(4), A(6)}}) {
     for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
-      DiffOutcome outcome = DiffStrategy(library, GetParam(), h, k);
-      EXPECT_TRUE(outcome.match) << outcome.detail << " |H| = " << h.size()
-                                 << ", k = " << k;
+      for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
+        DiffOutcome outcome = DiffStrategy(library, GetParam(), h, k, {},
+                                           variant);
+        EXPECT_TRUE(outcome.match) << outcome.detail << " |H| = "
+                                   << h.size() << ", k = " << k;
+      }
     }
   }
 }

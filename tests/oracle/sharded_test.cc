@@ -1,8 +1,8 @@
 // Differential wall for sharded serving: N-shard fan-out/merge must be
 // *bit-identical* to the single-shard scan — same actions, same scores,
-// same order — across the seeded generator sweep, for all four strategies,
-// on both the pooled (warm root workspace + scratch pool) and allocating
-// paths. A metamorphic sweep additionally pins shard-count invariance
+// same order — across the seeded generator sweep, for all four strategies
+// (Best Match in all six unweighted variants), on both the pooled (warm
+// root workspace + scratch pool) and allocating paths. A metamorphic sweep additionally pins shard-count invariance
 // (shards ∈ {1, 2, 3, 7, 16}, hash and modulo partitions, including the
 // tie-storm shapes where only the documented (score desc, id asc) order
 // distinguishes outputs), and the Breadth dense-reset accumulator is held
@@ -77,36 +77,39 @@ TEST_P(ShardedOracleTest, ShardedMergeIsBitIdenticalToSingleShard) {
     auto snapshot = model::MakeSnapshot(std::move(c.library));
     const model::ImplementationLibrary& library = snapshot->library;
     auto sharded = model::BuildShardedSnapshot(library, /*num_shards=*/3);
-    serve::ShardedRecommender recommender(sharded, ToSharded(GetParam()),
-                                          &pool);
+    for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
+      serve::ShardedRecommender recommender(sharded, ToSharded(GetParam()),
+                                            &pool, variant);
+      const std::string name = std::string(OracleStrategyName(GetParam())) +
+                               " " + BestMatchVariantName(variant);
 
-    // Pooled path: warm root workspace, scratch pool, parallel fan-out.
-    core::RecommendationList pooled;
-    recommender.RecommendPooled(c.activity, c.k, /*stop=*/nullptr, &root_ws,
-                                pooled);
-    DiffOutcome vs_reference = CompareLists(
-        pooled, RunReference(library, GetParam(), c.activity, c.k), strict);
-    ASSERT_TRUE(vs_reference.match)
-        << OracleStrategyName(GetParam())
-        << " sharded pooled vs reference: " << vs_reference.detail
-        << " (case seed " << case_seed << ", shape " << i % shapes.size()
-        << ", |H| = " << c.activity.size() << ", k = " << c.k << ")";
+      // Pooled path: warm root workspace, scratch pool, parallel fan-out.
+      core::RecommendationList pooled;
+      recommender.RecommendPooled(c.activity, c.k, /*stop=*/nullptr,
+                                  &root_ws, pooled);
+      DiffOutcome vs_reference = CompareLists(
+          pooled,
+          RunReference(library, GetParam(), c.activity, c.k, variant),
+          strict);
+      ASSERT_TRUE(vs_reference.match)
+          << name << " sharded pooled vs reference: " << vs_reference.detail
+          << " (case seed " << case_seed << ", shape " << i % shapes.size()
+          << ", |H| = " << c.activity.size() << ", k = " << c.k << ")";
 
-    // Allocating path: fresh workspaces, sequential fan-out.
-    core::RecommendationList allocating =
-        recommender.RecommendCancellable(c.activity, c.k, nullptr);
-    ASSERT_EQ(allocating, pooled)
-        << OracleStrategyName(GetParam())
-        << " sharded allocating vs pooled diverged (case seed " << case_seed
-        << ")";
+      // Allocating path: fresh workspaces, sequential fan-out.
+      core::RecommendationList allocating =
+          recommender.RecommendCancellable(c.activity, c.k, nullptr);
+      ASSERT_EQ(allocating, pooled)
+          << name << " sharded allocating vs pooled diverged (case seed "
+          << case_seed << ")";
 
-    // And against the unsharded optimized kernel, bit for bit.
-    core::RecommendationList unsharded = RunOptimizedPooled(
-        library, GetParam(), c.activity, c.k, unsharded_ws);
-    ASSERT_EQ(pooled, unsharded)
-        << OracleStrategyName(GetParam())
-        << " sharded vs unsharded optimized diverged (case seed " << case_seed
-        << ")";
+      // And against the unsharded optimized kernel, bit for bit.
+      core::RecommendationList unsharded = RunOptimizedPooled(
+          library, GetParam(), c.activity, c.k, unsharded_ws, variant);
+      ASSERT_EQ(pooled, unsharded)
+          << name << " sharded vs unsharded optimized diverged (case seed "
+          << case_seed << ")";
+    }
   }
 }
 
@@ -125,22 +128,30 @@ TEST_P(ShardedOracleTest, MergedResultsInvariantAcrossShardCounts) {
         shapes[static_cast<size_t>(i) % shapes.size()], case_seed);
     auto snapshot = model::MakeSnapshot(std::move(c.library));
     const model::ImplementationLibrary& library = snapshot->library;
-    core::RecommendationList unsharded = RunOptimizedPooled(
-        library, GetParam(), c.activity, c.k, unsharded_ws);
     model::ShardingOptions options;
     options.policy = (i % 2 == 0) ? model::PartitionPolicy::kHashByGoal
                                   : model::PartitionPolicy::kModuloGoal;
+    const std::vector<core::BestMatchOptions> variants = OracleVariants(GetParam());
+    std::vector<core::RecommendationList> unsharded;
+    for (const core::BestMatchOptions& variant : variants) {
+      unsharded.push_back(RunOptimizedPooled(library, GetParam(), c.activity,
+                                             c.k, unsharded_ws, variant));
+    }
     for (uint32_t num_shards : kShardCounts) {
       auto sharded = model::BuildShardedSnapshot(library, num_shards, options);
-      serve::ShardedRecommender recommender(sharded, ToSharded(GetParam()),
-                                            &pool);
-      core::RecommendationList merged;
-      recommender.RecommendPooled(c.activity, c.k, nullptr, &root_ws, merged);
-      ASSERT_EQ(merged, unsharded)
-          << OracleStrategyName(GetParam()) << " diverged at " << num_shards
-          << " shards, policy " << model::PartitionPolicyName(options.policy)
-          << " (case seed " << case_seed << ", shape " << i % shapes.size()
-          << ")";
+      for (size_t v = 0; v < variants.size(); ++v) {
+        serve::ShardedRecommender recommender(
+            sharded, ToSharded(GetParam()), &pool, variants[v]);
+        core::RecommendationList merged;
+        recommender.RecommendPooled(c.activity, c.k, nullptr, &root_ws,
+                                    merged);
+        ASSERT_EQ(merged, unsharded[v])
+            << OracleStrategyName(GetParam()) << " "
+            << BestMatchVariantName(variants[v]) << " diverged at "
+            << num_shards << " shards, policy "
+            << model::PartitionPolicyName(options.policy) << " (case seed "
+            << case_seed << ", shape " << i % shapes.size() << ")";
+      }
     }
   }
 }

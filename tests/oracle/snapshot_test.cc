@@ -2,8 +2,8 @@
 // (offsets/postings) indexes and the pooled zero-allocation query path must
 // be *bit-identical* to the naive reference oracle — same spaces, same
 // scores, same emission order — across hundreds of seeded generated cases.
-// One QueryWorkspace is reused for the whole sweep, exactly like a serving
-// thread, so cross-query contamination (a stale marker epoch, an unreset
+// Best Match runs in all six unweighted variants. One QueryWorkspace is
+// reused for the whole sweep, exactly like a serving thread, so cross-query contamination (a stale marker epoch, an unreset
 // scratch buffer) cannot hide.
 //
 // Failures print the case seed; reproduce with goalrec_fuzz --seed=<seed>.
@@ -56,15 +56,20 @@ TEST_P(SnapshotOracleTest, PooledPathIsBitIdenticalToReference) {
     std::shared_ptr<const model::LibrarySnapshot> snapshot =
         model::MakeSnapshot(std::move(c.library));
     const model::ImplementationLibrary& library = snapshot->library;
-    core::RecommendationList pooled = RunOptimizedPooled(
-        library, GetParam(), c.activity, c.k, workspace);
-    DiffOutcome vs_reference = CompareLists(
-        pooled, RunReference(library, GetParam(), c.activity, c.k), strict);
-    ASSERT_TRUE(vs_reference.match)
-        << OracleStrategyName(GetParam()) << " pooled vs reference: "
-        << vs_reference.detail << " (case seed " << case_seed << ", shape "
-        << i % shapes.size() << ", |H| = " << c.activity.size()
-        << ", k = " << c.k << ")";
+    for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
+      core::RecommendationList pooled = RunOptimizedPooled(
+          library, GetParam(), c.activity, c.k, workspace, variant);
+      DiffOutcome vs_reference = CompareLists(
+          pooled,
+          RunReference(library, GetParam(), c.activity, c.k, variant),
+          strict);
+      ASSERT_TRUE(vs_reference.match)
+          << OracleStrategyName(GetParam()) << " "
+          << BestMatchVariantName(variant) << " pooled vs reference: "
+          << vs_reference.detail << " (case seed " << case_seed << ", shape "
+          << i % shapes.size() << ", |H| = " << c.activity.size()
+          << ", k = " << c.k << ")";
+    }
   }
 }
 
@@ -79,21 +84,24 @@ TEST_P(SnapshotOracleTest, PooledPathMatchesFreshPathExactly) {
     uint64_t case_seed = seeds.NextUint64();
     OracleCase c = GenerateCase(
         shapes[static_cast<size_t>(i) % shapes.size()], case_seed);
-    core::RecommendationList fresh =
-        RunOptimized(c.library, GetParam(), c.activity, c.k);
-    core::RecommendationList pooled = RunOptimizedPooled(
-        c.library, GetParam(), c.activity, c.k, workspace);
-    ASSERT_EQ(pooled.size(), fresh.size())
-        << OracleStrategyName(GetParam()) << " (case seed " << case_seed
-        << ")";
-    for (size_t r = 0; r < fresh.size(); ++r) {
-      ASSERT_EQ(pooled[r].action, fresh[r].action)
-          << OracleStrategyName(GetParam()) << " rank " << r << " (case seed "
-          << case_seed << ")";
-      // Bitwise: the pooled path must take the identical float walk.
-      ASSERT_EQ(pooled[r].score, fresh[r].score)
-          << OracleStrategyName(GetParam()) << " rank " << r << " (case seed "
-          << case_seed << ")";
+    for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
+      SCOPED_TRACE(BestMatchVariantName(variant));
+      core::RecommendationList fresh =
+          RunOptimized(c.library, GetParam(), c.activity, c.k, variant);
+      core::RecommendationList pooled = RunOptimizedPooled(
+          c.library, GetParam(), c.activity, c.k, workspace, variant);
+      ASSERT_EQ(pooled.size(), fresh.size())
+          << OracleStrategyName(GetParam()) << " (case seed " << case_seed
+          << ")";
+      for (size_t r = 0; r < fresh.size(); ++r) {
+        ASSERT_EQ(pooled[r].action, fresh[r].action)
+            << OracleStrategyName(GetParam()) << " rank " << r
+            << " (case seed " << case_seed << ")";
+        // Bitwise: the pooled path must take the identical float walk.
+        ASSERT_EQ(pooled[r].score, fresh[r].score)
+            << OracleStrategyName(GetParam()) << " rank " << r
+            << " (case seed " << case_seed << ")";
+      }
     }
   }
 }

@@ -5,12 +5,14 @@
 #include "serve/engine.h"
 
 #include <chrono>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/best_match.h"
 #include "core/breadth.h"
+#include "core/query_workspace.h"
 #include "serve/popularity_floor.h"
 #include "testing/fixtures.h"
 #include "util/deadline.h"
@@ -58,6 +60,40 @@ class SlowCooperativeRecommender : public core::Recommender {
     }
     return Recommend(activity, k);
   }
+};
+
+// The real Best Match kernel behind a budget it cannot meet: it waits out
+// the engine's deadline without touching the stop token, then runs. The
+// token samples the clock on every 64th poll and the fold polls once per
+// goal, so on a library whose GS(H) has more than 64 goals the stop latches
+// part-way through the fold. Records what the kernel itself returned.
+class ExpiredBestMatch : public core::Recommender {
+ public:
+  explicit ExpiredBestMatch(const model::ImplementationLibrary* library)
+      : best_match_(library) {}
+  std::string name() const override { return "BestMatch"; }
+  core::RecommendationList Recommend(const model::Activity& activity,
+                                     size_t k) const override {
+    return best_match_.Recommend(activity, k);
+  }
+  void RecommendPooled(util::IdSpan activity, size_t k,
+                       const util::StopToken* stop,
+                       core::QueryWorkspace* workspace,
+                       core::RecommendationList& out) const override {
+    auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!stop->deadline().Expired() &&
+           std::chrono::steady_clock::now() < cap) {
+    }
+    best_match_.RecommendPooled(activity, k, stop, workspace, out);
+    emitted = out.size();
+    slots_touched = workspace->kernel_stats.slots_touched;
+  }
+
+  mutable size_t emitted = 0;
+  mutable uint32_t slots_touched = 0;
+
+ private:
+  core::BestMatchRecommender best_match_;
 };
 
 core::RecommendationList SomeList() {
@@ -196,6 +232,35 @@ TEST(ServingEngineTest, HealthyLadderServesTopRungExactly) {
   EXPECT_FALSE(result->degraded);
   EXPECT_EQ(result->list, best_match.Recommend(activity, 10));
   EXPECT_EQ(result->num_rungs, 3u);
+}
+
+TEST(ServingEngineTest, BestMatchStoppedMidFoldDegradesToBreadth) {
+  // 100 goals, each one implementation {h, x_i}: H = {h} gives |GS(H)| = 100.
+  model::LibraryBuilder builder;
+  for (int i = 0; i < 100; ++i) {
+    builder.AddImplementation("g" + std::to_string(i),
+                              {"h", "x" + std::to_string(i)});
+  }
+  model::ImplementationLibrary library = std::move(builder).Build();
+  ExpiredBestMatch best_match(&library);
+  core::BreadthRecommender breadth(&library);
+  EngineOptions options;
+  options.deadline_ms = 5;
+  ServingEngine engine({{"best_match", &best_match}, {"breadth", &breadth}},
+                       options);
+
+  model::Activity activity = {*library.actions().Find("h")};
+  util::StatusOr<ServeResult> result = engine.Serve(activity, 10);
+  ASSERT_TRUE(result.ok());
+  // The fold folded some goals but not all, then emitted nothing.
+  EXPECT_GT(best_match.slots_touched, 0u);
+  EXPECT_LT(best_match.slots_touched, 100u);
+  EXPECT_EQ(best_match.emitted, 0u);
+  ASSERT_EQ(result->rungs.size(), 2u);
+  EXPECT_EQ(result->rungs[0].outcome, RungOutcome::kDeadlineExceeded);
+  EXPECT_EQ(result->rung_index, 1u);
+  EXPECT_TRUE(result->degraded);
+  EXPECT_EQ(result->list, breadth.Recommend(activity, 10));
 }
 
 TEST(ServingEngineTest, DeterministicUnderFixedFaultSeed) {
